@@ -119,7 +119,7 @@ func (c *BasicConfig) normalize() error {
 // directly to the relevant blocks knowing only the graph.
 //
 // The dictionary is safe for concurrent use: lookups (Lookup, Contains,
-// LookupBatch, LookupTry, Scan) share a read lock and run concurrently
+// LookupBatchOp, LookupTry, Scan) share a read lock and run concurrently
 // with each other — the d-choice probes are independent, which is
 // exactly what the sharded machine parallelizes — while updates
 // (Insert, Delete, BulkLoad, Repair) are exclusive. The unexported
@@ -146,7 +146,7 @@ type BasicDict struct {
 }
 
 // SetRetryPolicy installs the policy the fault-aware paths (LookupTry,
-// LookupTryBatch, Repair, Scrub) use for transient-error recovery. The
+// LookupTryBatchOp, Repair, Scrub) use for transient-error recovery. The
 // zero value restores the default: three immediate retries, no backoff,
 // no hedging — the historical hardcoded behavior.
 func (bd *BasicDict) SetRetryPolicy(p pdm.RetryPolicy) {
@@ -314,18 +314,23 @@ func (bd *BasicDict) groupNeighborhood(flat [][]pdm.Word) [][][]pdm.Word {
 	return out
 }
 
-// readNeighborhood fetches the d buckets of Γ(x) in one batch: one
-// parallel I/O when BucketBlocks is 1, BucketBlocks I/Os otherwise.
-// The batch is attributed to op (nil = unattributed).
-func (bd *BasicDict) readNeighborhood(op *pdm.Op, x pdm.Word) [][][]pdm.Word {
-	addrs := bd.probeAddrs(x, make([]pdm.Addr, 0, bd.probeLen()))
-	return bd.groupNeighborhood(bd.reg.m.BatchReadOp(op, addrs))
-}
-
-// lookupInBlocks interprets a pre-fetched neighborhood (the blocks for
-// probeAddrs(x)) exactly as Lookup would, without any I/O.
-func (bd *BasicDict) lookupInBlocks(x pdm.Word, flat [][]pdm.Word) ([]pdm.Word, bool) {
-	frags, _ := bd.findFragments(x, bd.groupNeighborhood(flat))
+// lookupInBlocks interprets x's probe blocks (the blocks for
+// probeAddrs(x), in order) without any I/O: x's fragments are collected
+// as frag-index → data (replica rank → data in replicate mode) and
+// assembled if they prove x stored. Nil blocks (failed degraded-mode
+// reads) are skipped.
+func (bd *BasicDict) lookupInBlocks(x pdm.Word, blocks [][]pdm.Word) ([]pdm.Word, bool) {
+	frags := make(map[int][]pdm.Word)
+	for _, blk := range blocks {
+		if blk == nil {
+			continue
+		}
+		for _, rec := range bd.codec.Decode(blk) {
+			if rec.Key == x {
+				frags[bd.fragIndex(rec.Sat[0])] = rec.Sat[1:]
+			}
+		}
+	}
 	if !bd.present(frags) {
 		return nil, false
 	}
@@ -390,12 +395,10 @@ func (bd *BasicDict) present(frags map[int][]pdm.Word) bool {
 	return len(frags) == bd.cfg.K
 }
 
-// findFragments collects x's fragments from a neighborhood, as
-// frag-index → data (replica rank → data in replicate mode). It also
-// reports which stripes held at least one fragment. Nil blocks (failed
-// degraded-mode reads) are skipped.
-func (bd *BasicDict) findFragments(x pdm.Word, hood [][][]pdm.Word) (map[int][]pdm.Word, map[int]bool) {
-	frags := make(map[int][]pdm.Word)
+// touchedStripes reports which stripes of a neighborhood hold at least
+// one of x's fragments. Nil blocks (failed degraded-mode reads) are
+// skipped.
+func (bd *BasicDict) touchedStripes(x pdm.Word, hood [][][]pdm.Word) map[int]bool {
 	touched := make(map[int]bool)
 	for i, blocks := range hood {
 		for _, blk := range blocks {
@@ -404,62 +407,32 @@ func (bd *BasicDict) findFragments(x pdm.Word, hood [][][]pdm.Word) (map[int][]p
 			}
 			for _, rec := range bd.codec.Decode(blk) {
 				if rec.Key == x {
-					frags[bd.fragIndex(rec.Sat[0])] = rec.Sat[1:]
 					touched[i] = true
 				}
 			}
 		}
 	}
-	return frags, touched
+	return touched
 }
 
-// LookupBatch resolves many keys with ONE batched read: every key's d
-// bucket addresses are collected, de-duplicated, and fetched together.
-// The parallel-I/O cost is the deepest per-disk queue of *distinct*
-// blocks, so skewed batches (hot keys repeating, as in the paper's
-// webmail workload) cost far less than len(keys) single lookups — the
-// shared buckets are read once. Results are positionally aligned with
-// keys.
-func (bd *BasicDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return bd.LookupBatchOp(nil, keys)
-}
-
-// LookupBatchOp is LookupBatch attributed to the operation token op:
-// the merged read round and the lookup span carry the op's ID, and the
-// op is charged the batch's exact cost. A nil op keeps the legacy
-// shared-stack attribution.
-func (bd *BasicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+// read is BasicDict's read primitive (see read.go): the d buckets of
+// every key's Γ(x), de-duplicated across keys, in one round — a single
+// parallel I/O when BucketBlocks is 1.
+func (bd *BasicDict) read(t tokens, r *readReq) error {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	uniq := make(map[pdm.Addr]int) // addr → index into fetch list
-	var addrs []pdm.Addr
-	perKey := make([][]int, len(keys)) // key → its blocks' fetch indices
-	for ki, x := range keys {
-		ka := bd.probeAddrs(x, nil)
-		idxs := make([]int, len(ka))
-		for i, a := range ka {
-			j, ok := uniq[a]
-			if !ok {
-				j = len(addrs)
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idxs[i] = j
+	defer t.openSpans(bd.reg.m)()
+	ps := gatherProbes(len(r.keys), bd.probeLen(), func(i int, dst []pdm.Addr) []pdm.Addr {
+		return bd.probeAddrs(r.keys[i], dst)
+	})
+	flat, err := r.round(t, bd.reg.m, bd.retry, ps.addrs)
+	for ki, x := range r.keys {
+		blocks := ps.blocks(flat, ki)
+		if r.out[ki].sat, r.out[ki].ok = bd.lookupInBlocks(x, blocks); !r.out[ki].ok {
+			r.unreadable(ki, blocks, err)
 		}
-		perKey[ki] = idxs
 	}
-	flat := bd.reg.m.BatchReadOp(op, addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	blocks := make([][]pdm.Word, bd.probeLen())
-	for ki, x := range keys {
-		for i, j := range perKey[ki] {
-			blocks[i] = flat[j]
-		}
-		sats[ki], oks[ki] = bd.lookupInBlocks(x, blocks)
-	}
-	return sats, oks
+	return r.result()
 }
 
 // Lookup returns a copy of x's satellite data and whether x is present.
@@ -469,17 +442,30 @@ func (bd *BasicDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 	return bd.LookupOp(nil, x)
 }
 
-// LookupOp is Lookup attributed to the operation token op.
+// LookupOp is Lookup attributed to the operation token op (nil =
+// unattributed).
 func (bd *BasicDict) LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
-	bd.mu.RLock()
-	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	hood := bd.readNeighborhood(op, x)
-	frags, _ := bd.findFragments(x, hood)
-	if !bd.present(frags) {
-		return nil, false
-	}
-	return bd.assemble(frags), true
+	var a [1]answer
+	bd.read(batchToken(op), &readReq{keys: []pdm.Word{x}, out: a[:]})
+	return a[0].sat, a[0].ok
+}
+
+// LookupBatchOp resolves many keys with ONE batched read under one
+// token, op (nil = unattributed): every key's d bucket addresses are
+// collected, de-duplicated, and fetched together. The parallel-I/O cost
+// is the deepest per-disk queue of *distinct* blocks, so skewed batches
+// (hot keys repeating, as in the paper's webmail workload) cost far
+// less than len(keys) single lookups — the shared buckets are read
+// once. Results are positionally aligned with keys.
+func (bd *BasicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	return readBatch(bd.read, batchToken(op), keys)
+}
+
+// LookupSharedOp resolves keys[i] on behalf of ops[i] in one merged,
+// de-duplicated round: each op gets its own lookup span and is charged
+// the round in full.
+func (bd *BasicDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	return readBatch(bd.read, perKeyTokens(ops), keys)
 }
 
 // Contains reports whether x is present, at the same cost as Lookup.
@@ -543,7 +529,7 @@ func (bd *BasicDict) insertWritesLocked(x pdm.Word, sat []pdm.Word, flat [][]pdm
 		return nil, fmt.Errorf("core: key %d outside universe %d", x, bd.cfg.Universe)
 	}
 	hood := bd.groupNeighborhood(flat)
-	_, touched := bd.findFragments(x, hood)
+	touched := bd.touchedStripes(x, hood)
 	existing := len(touched) > 0
 	if !existing && bd.n >= bd.cfg.Capacity {
 		return nil, ErrFull
@@ -706,7 +692,7 @@ func (bd *BasicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 // the writes were applied.
 func (bd *BasicDict) deleteWritesLocked(x pdm.Word, flat [][]pdm.Word) ([]pdm.BlockWrite, bool) {
 	hood := bd.groupNeighborhood(flat)
-	_, touched := bd.findFragments(x, hood)
+	touched := bd.touchedStripes(x, hood)
 	if len(touched) == 0 {
 		return nil, false
 	}

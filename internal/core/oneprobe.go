@@ -250,69 +250,45 @@ func (op *OneProbeDict) probeLocked(tok *pdm.Op, x pdm.Word) (membBlocks [][]pdm
 	return membBlocks, levelBlocks
 }
 
-// lookupInFlat resolves x against a pre-fetched probe (the blocks for
-// probeAddrsAll(x), in order), without any I/O.
-func (op *OneProbeDict) lookupInFlatLocked(x pdm.Word, flat [][]pdm.Word) ([]pdm.Word, bool) {
-	membLen := op.memb.probeLen()
-	membSat, ok := op.memb.lookupInBlocks(x, flat[:membLen])
-	if !ok {
-		return nil, false
-	}
-	head := int(membSat[0] & 0xFF)
-	level := int(membSat[0] >> 8)
-	if level >= len(op.levels) {
-		return nil, false
-	}
-	blocks := flat[membLen+level*op.d : membLen+(level+1)*op.d]
-	return decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(level, x, blocks), head)
-}
-
-// LookupBatch resolves many keys with ONE batched read: every key's
-// probe addresses (membership and all levels) are collected,
-// de-duplicated, and fetched together, so a batch of b lookups costs
-// the deepest per-disk queue of distinct blocks — still one parallel
-// I/O round — instead of b sequential probes. Results are positionally
-// aligned with keys.
-func (op *OneProbeDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return op.LookupBatchOp(nil, keys)
-}
-
-// LookupBatchOp is LookupBatch attributed to the operation token tok:
-// the probe batch and the lookup span carry the token's ID and the
-// token is charged the batch's exact cost. A nil token keeps the
-// legacy shared-stack attribution.
-func (op *OneProbeDict) LookupBatchOp(tok *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+// read is OneProbeDict's read primitive (see read.go): every key's
+// membership neighborhood and every level's field blocks merge into ONE
+// de-duplicated round — the single-probe guarantee holds for batches
+// and shared rounds too. The membership record says which level's
+// pre-fetched fields to decode.
+func (op *OneProbeDict) read(t tokens, r *readReq) error {
 	op.mu.RLock()
 	defer op.mu.RUnlock()
-	defer op.m.OpSpan(tok, obs.TagLookup)()
-	width := op.probeWidthLocked()
-	idx := make([]int32, len(keys)*width)
-	uniq := make(map[pdm.Addr]int32, len(keys)*width)
-	var addrs []pdm.Addr
-	scratch := make([]pdm.Addr, 0, width)
-	for ki, x := range keys {
-		scratch = op.probeAddrsAllLocked(x, scratch[:0])
-		for i, a := range scratch {
-			j, ok := uniq[a]
-			if !ok {
-				j = int32(len(addrs))
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idx[ki*width+i] = j
+	defer t.openSpans(op.m)()
+	membLen := op.memb.probeLen()
+	ps := gatherProbes(len(r.keys), op.probeWidthLocked(), func(i int, dst []pdm.Addr) []pdm.Addr {
+		return op.probeAddrsAllLocked(r.keys[i], dst)
+	})
+	flat, err := r.round(t, op.m, op.retry, ps.addrs)
+	for ki, x := range r.keys {
+		blocks := ps.blocks(flat, ki)
+		level, head, ok := r.resident(op.memb, ki, blocks[:membLen], err)
+		if !ok || level >= len(op.levels) {
+			continue
+		}
+		fields := blocks[membLen+level*op.d : membLen+(level+1)*op.d]
+		if !r.unreadable(ki, fields, err) {
+			r.out[ki].sat, r.out[ki].ok = decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(level, x, fields), head)
 		}
 	}
-	flat := op.m.BatchReadOp(tok, addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	view := make([][]pdm.Word, width)
-	for ki, x := range keys {
-		for i := range view {
-			view[i] = flat[idx[ki*width+i]]
-		}
-		sats[ki], oks[ki] = op.lookupInFlatLocked(x, view)
-	}
-	return sats, oks
+	return r.result()
+}
+
+// LookupBatchOp resolves many keys, positionally aligned, with one
+// token, tok, covering the batch: ONE de-duplicated round, so b lookups
+// cost the deepest per-disk queue of distinct blocks, not b probes.
+func (op *OneProbeDict) LookupBatchOp(tok *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	return readBatch(op.read, batchToken(tok), keys)
+}
+
+// LookupSharedOp resolves keys[i] on behalf of ops[i] in exactly ONE
+// merged read round, each op charged it in full.
+func (op *OneProbeDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	return readBatch(op.read, perKeyTokens(ops), keys)
 }
 
 // fieldsOf extracts x's per-stripe fields at a level from its blocks.
@@ -335,11 +311,9 @@ func (op *OneProbeDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 
 // LookupOp is Lookup attributed to the operation token tok.
 func (op *OneProbeDict) LookupOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
-	op.mu.RLock()
-	defer op.mu.RUnlock()
-	defer op.m.OpSpan(tok, obs.TagLookup)()
-	flat := op.m.BatchReadOp(tok, op.probeAddrsAllLocked(x, make([]pdm.Addr, 0, op.probeWidthLocked())))
-	return op.lookupInFlatLocked(x, flat)
+	var a [1]answer
+	op.read(batchToken(tok), &readReq{keys: []pdm.Word{x}, out: a[:]})
+	return a[0].sat, a[0].ok
 }
 
 // Contains reports presence at the 1-I/O Lookup cost.

@@ -85,18 +85,12 @@ type DictStats struct {
 }
 
 // rebuildable is the contract the global-rebuilding wrapper needs from
-// a bounded-capacity structure: the dictionary operations plus access
-// to its machine (for cost accounting) and its membership
-// sub-dictionary (for the migration cursor). DynamicDict (Theorem 7)
-// and OneProbeDict (Section 6) both satisfy it.
+// a bounded-capacity structure: its read primitive and token-threaded
+// updates, plus access to its machine (for cost accounting) and its
+// membership sub-dictionary (for the migration cursor). DynamicDict
+// (Theorem 7) and OneProbeDict (Section 6) both satisfy it.
 type rebuildable interface {
-	Lookup(x pdm.Word) ([]pdm.Word, bool)
-	LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool)
-	Insert(x pdm.Word, sat []pdm.Word) error
-	Delete(x pdm.Word) bool
-	LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool)
-	LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
-	LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
+	read(t tokens, r *readReq) error
 	InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error
 	DeleteOp(op *pdm.Op, x pdm.Word) bool
 	Len() int
@@ -280,7 +274,12 @@ func (d *Dict) measureOpLocked(op *pdm.Op, tag string, n int, fn func(op *pdm.Op
 	end := d.active.machine().OpSpan(op, tag)
 	err := fn(op)
 	end()
-	cost := op.MaxMachineSteps() - before
+	d.book(n, op.MaxMachineSteps()-before)
+	return err
+}
+
+// book adds one operation over n keys at the given cost to the ledger.
+func (d *Dict) book(n int, cost int64) {
 	d.statsMu.Lock()
 	d.stats.Ops += int64(n)
 	d.stats.ParallelIOs += cost
@@ -290,7 +289,64 @@ func (d *Dict) measureOpLocked(op *pdm.Op, tag string, n int, fn func(op *pdm.Op
 		}
 	}
 	d.statsMu.Unlock()
+}
+
+// read is Dict's read primitive (see read.go). The ledger books a token
+// batch as len(keys) Ops at amortized cost (a nil token mints a client-0
+// one) and a shared round as one Op per token at its own exact cost:
+// the merged rounds it rode, in full.
+func (d *Dict) read(t tokens, r *readReq) error {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if !t.perKey {
+		return d.measureOpLocked(t.op, obs.TagLookup, len(r.keys), func(op *pdm.Op) error {
+			return d.readLocked(batchToken(op), r)
+		})
+	}
+	befores := make([]int64, len(t.ops))
+	for i, op := range t.ops {
+		befores[i] = op.MaxMachineSteps()
+	}
+	end := t.openSpans(d.active.machine())
+	err := d.readLocked(t, r)
+	end()
+	for i, op := range t.ops {
+		d.book(1, op.MaxMachineSteps()-befores[i])
+	}
 	return err
+}
+
+// readLocked asks the successor first during a migration, then the
+// draining structure for just its misses, attributed to their tokens. A
+// miss's slot carries over: a fault-mode loss stands unless found later,
+// and the final r.result() supersedes each sub-read's error.
+func (d *Dict) readLocked(t tokens, r *readReq) error {
+	if d.next == nil {
+		d.active.read(t, r)
+		return r.result()
+	}
+	d.next.read(t, r)
+	var miss []int
+	for ki, a := range r.out {
+		if !a.ok {
+			miss = append(miss, ki)
+		}
+	}
+	switch len(miss) {
+	case 0:
+	case len(r.keys):
+		d.active.read(t, r)
+	default:
+		sub := batchReq(make([]pdm.Word, len(miss)), r.try)
+		for j, ki := range miss {
+			sub.keys[j], sub.out[j] = r.keys[ki], r.out[ki]
+		}
+		d.active.read(t.subset(len(miss), func(j int) int { return miss[j] }), sub)
+		for j, ki := range miss {
+			r.out[ki] = sub.out[j]
+		}
+	}
+	return r.result()
 }
 
 // Lookup returns a copy of x's satellite and whether x is present.
@@ -303,18 +359,9 @@ func (d *Dict) Lookup(x pdm.Word) (sat []pdm.Word, ok bool) {
 // operation's exact parallel I/O cost. A nil op mints an anonymous
 // (client 0) token.
 func (d *Dict) LookupOp(op *pdm.Op, x pdm.Word) (sat []pdm.Word, ok bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	d.measureOpLocked(op, obs.TagLookup, 1, func(op *pdm.Op) error {
-		if d.next != nil {
-			if sat, ok = d.next.LookupOp(op, x); ok {
-				return nil
-			}
-		}
-		sat, ok = d.active.LookupOp(op, x)
-		return nil
-	})
-	return sat, ok
+	var a [1]answer
+	d.read(batchToken(op), &readReq{keys: []pdm.Word{x}, out: a[:]})
+	return a[0].sat, a[0].ok
 }
 
 // Contains reports whether x is present.
@@ -323,42 +370,30 @@ func (d *Dict) Contains(x pdm.Word) bool {
 	return ok
 }
 
-// LookupBatch resolves many keys as one batched operation: each
-// underlying structure answers with its own merged read rounds, and
-// during a migration the draining structure is consulted only for the
-// keys the successor misses. The ledger gains len(keys) Ops but the
-// batch's (amortized) cost.
-func (d *Dict) LookupBatch(keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
-	return d.LookupBatchOp(nil, keys)
+// LookupBatchOp resolves many keys as one batched operation under one
+// token, op (nil mints one): each underlying structure answers with its
+// own merged read rounds, and during a migration the draining structure
+// is consulted only for the keys the successor misses. The ledger gains
+// len(keys) Ops but the batch's (amortized) cost.
+func (d *Dict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
+	return readBatch(d.read, batchToken(op), keys)
 }
 
-// LookupBatchOp is LookupBatch attributed to the operation token op.
-func (d *Dict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
+// LookupSharedOp resolves keys[i] on behalf of ops[i] — the scheduler's
+// group-commit round. Every ops[i] must be non-nil, distinct, and owned
+// by a caller blocked while the dispatcher runs. The ledger gains one
+// Op per participant.
+func (d *Dict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	return readBatch(d.read, perKeyTokens(ops), keys)
+}
+
+// StepCount returns the active structure's machine step counter — the
+// deterministic logical clock the scheduler's step-budget admission
+// window runs on.
+func (d *Dict) StepCount() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	d.measureOpLocked(op, obs.TagLookup, len(keys), func(op *pdm.Op) error {
-		if d.next != nil {
-			sats, oks = d.next.LookupBatchOp(op, keys)
-			var missKeys []pdm.Word
-			var missIdx []int
-			for i, ok := range oks {
-				if !ok {
-					missKeys = append(missKeys, keys[i])
-					missIdx = append(missIdx, i)
-				}
-			}
-			if len(missKeys) > 0 {
-				ms, mo := d.active.LookupBatchOp(op, missKeys)
-				for j, i := range missIdx {
-					sats[i], oks[i] = ms[j], mo[j]
-				}
-			}
-			return nil
-		}
-		sats, oks = d.active.LookupBatchOp(op, keys)
-		return nil
-	})
-	return sats, oks
+	return d.active.machine().StepCount()
 }
 
 // Insert stores (x, sat), replacing any previous satellite for x.
@@ -479,8 +514,9 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 			d.curBucket++
 			continue
 		}
-		sat, ok := d.active.LookupOp(op, key)
-		if ok {
+		var a [1]answer
+		d.active.read(batchToken(op), &readReq{keys: []pdm.Word{key}, out: a[:]})
+		if sat, ok := a[0].sat, a[0].ok; ok {
 			if err := d.next.InsertOp(op, key, sat); err != nil {
 				// The successor refused (pathological); leave the key in
 				// place and retry on a later step.

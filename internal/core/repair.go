@@ -22,12 +22,6 @@ import (
 // zero-value policy reproduces the historical behavior (three immediate
 // retries) exactly, batch for batch.
 
-// tryRead is tryReadPolicy with the default policy and no operation
-// token — the historical retry behavior.
-func tryRead(m *pdm.Machine, addrs []pdm.Addr) ([][]pdm.Word, error) {
-	return tryReadPolicy(m, nil, pdm.RetryPolicy{}, addrs)
-}
-
 // splitTransient partitions a batch error into retryable accesses
 // (transient) and permanent ones. idx maps positions of the failing
 // batch back to the caller's original batch (nil = identity).
@@ -57,13 +51,7 @@ func splitTransient(be *pdm.BatchError) (retryIdx []int, retryable []pdm.BlockEr
 // accesses that never succeeded; the error, if any, lists exactly those
 // entries with indices into the original batch.
 func tryReadPolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.Addr) ([][]pdm.Word, error) {
-	read := func(as []pdm.Addr) ([][]pdm.Word, error) {
-		if op != nil {
-			return m.TryBatchReadOp(op, as)
-		}
-		return m.TryBatchRead(as)
-	}
-	blocks, err := read(addrs)
+	blocks, err := m.TryBatchReadOp(op, addrs)
 	maxRetries := pol.Retries()
 	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
 		be, ok := pdm.AsBatchError(err)
@@ -96,7 +84,7 @@ func tryReadPolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.
 			m.NoteHedges(hedged)
 		}
 		m.NoteRetry()
-		got, rerr := read(retryAddrs)
+		got, rerr := m.TryBatchReadOp(op, retryAddrs)
 		for i, j := range retryIdx {
 			if blocks[j] == nil {
 				blocks[j] = got[i]
@@ -133,22 +121,11 @@ func tryReadPolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.
 	return blocks, err
 }
 
-// tryWrite is tryWritePolicy with the default policy and no token.
-func tryWrite(m *pdm.Machine, writes []pdm.BlockWrite) error {
-	return tryWritePolicy(m, nil, pdm.RetryPolicy{}, writes)
-}
-
 // tryWritePolicy is TryBatchWrite plus the same policy-driven retry and
 // backoff (writes are never hedged: issuing a write twice has no upside
 // — the second copy lands on the same block).
 func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pdm.BlockWrite) error {
-	write := func(ws []pdm.BlockWrite) error {
-		if op != nil {
-			return m.TryBatchWriteOp(op, ws)
-		}
-		return m.TryBatchWrite(ws)
-	}
-	err := write(writes)
+	err := m.TryBatchWriteOp(op, writes)
 	maxRetries := pol.Retries()
 	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
 		be, ok := pdm.AsBatchError(err)
@@ -169,7 +146,7 @@ func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pd
 			endBackoff()
 		}
 		m.NoteRetry()
-		rerr := write(retryWrites)
+		rerr := m.TryBatchWriteOp(op, retryWrites)
 		if rerr == nil {
 			if len(permanent) == 0 {
 				return nil
@@ -253,81 +230,23 @@ func (bd *BasicDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 // shows up under the operation that needed it. A nil op keeps the
 // legacy shared-stack attribution.
 func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
-	bd.mu.RLock()
-	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	addrs := bd.probeAddrs(x, make([]pdm.Addr, 0, bd.probeLen()))
-	flat, err := tryReadPolicy(bd.reg.m, op, bd.retry, addrs)
-	frags, _ := bd.findFragments(x, bd.groupNeighborhood(flat))
-	if bd.present(frags) {
-		return bd.assemble(frags), true, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
-	}
-	return nil, false, nil
+	var a [1]answer
+	err := bd.read(batchToken(op), &readReq{keys: []pdm.Word{x}, try: true, out: a[:]})
+	return a[0].sat, a[0].ok, err
 }
 
-// LookupTryBatch resolves many keys through the fault layer in one
-// merged, de-duplicated read round governed by the retry policy — the
-// fault-aware LookupBatch. Results align with keys; a key answers true
-// whenever any surviving replica proves it present. The error is
-// non-nil only when at least one key is inconclusive (its ok entry is
-// then false and its sats entry nil — "unavailable", not "absent").
-func (bd *BasicDict) LookupTryBatch(keys []pdm.Word) ([][]pdm.Word, []bool, error) {
-	return bd.LookupTryBatchOp(nil, keys)
-}
-
-// LookupTryBatchOp is LookupTryBatch attributed to op.
+// LookupTryBatchOp resolves many keys through the fault layer in one
+// merged, de-duplicated read round governed by the retry policy, with
+// op covering the batch — the fault-aware LookupBatchOp. A key answers
+// true whenever any surviving replica proves it present. The error is
+// non-nil only when at least one key is inconclusive: not found, with
+// one of its own blocks unreadable (its ok entry is then false and its
+// sats entry nil — "unavailable", not "absent").
 func (bd *BasicDict) LookupTryBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool, error) {
-	bd.mu.RLock()
-	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	uniq := make(map[pdm.Addr]int)
-	var addrs []pdm.Addr
-	perKey := make([][]int, len(keys))
-	for ki, x := range keys {
-		ka := bd.probeAddrs(x, nil)
-		idxs := make([]int, len(ka))
-		for i, a := range ka {
-			j, ok := uniq[a]
-			if !ok {
-				j = len(addrs)
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idxs[i] = j
-		}
-		perKey[ki] = idxs
-	}
-	flat, err := tryReadPolicy(bd.reg.m, op, bd.retry, addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	blocks := make([][]pdm.Word, bd.probeLen())
-	inconclusive := 0
-	for ki, x := range keys {
-		failed := false
-		for i, j := range perKey[ki] {
-			blocks[i] = flat[j]
-			if flat[j] == nil {
-				failed = true
-			}
-		}
-		sats[ki], oks[ki] = bd.lookupInBlocks(x, blocks)
-		if !oks[ki] && failed {
-			inconclusive++
-		}
-	}
-	if inconclusive > 0 && err != nil {
-		return sats, oks, fmt.Errorf("core: degraded batch lookup: %d of %d keys inconclusive: %w", inconclusive, len(keys), err)
-	}
-	return sats, oks, nil
-}
-
-// ContainsTry reports presence through the fault layer; see LookupTry.
-func (bd *BasicDict) ContainsTry(x pdm.Word) (bool, error) {
-	_, ok, err := bd.LookupTry(x)
-	return ok, err
+	r := batchReq(keys, true)
+	err := bd.read(batchToken(op), r)
+	sats, oks := r.split()
+	return sats, oks, err
 }
 
 // Repair rebuilds every bucket of one stripe (= one disk of the
@@ -469,7 +388,8 @@ func (bd *BasicDict) Scrub() []pdm.Addr {
 // Membership (K = 1) and retrieval fields are not replicated, so a
 // fail-stopped disk in the group a key needs makes that key unavailable
 // (reported as an error, never as a wrong answer); transient faults and
-// stalls are absorbed.
+// stalls are absorbed. An absent key needs only its membership blocks:
+// losing a retrieval level's disk leaves misses conclusive.
 func (op *OneProbeDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 	return op.LookupTryOp(nil, x)
 }
@@ -477,30 +397,7 @@ func (op *OneProbeDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 // LookupTryOp is LookupTry attributed to the operation token tok and
 // governed by the structure's retry policy.
 func (op *OneProbeDict) LookupTryOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
-	op.mu.RLock()
-	defer op.mu.RUnlock()
-	defer op.m.OpSpan(tok, obs.TagLookup)()
-	addrs := op.probeAddrsAllLocked(x, make([]pdm.Addr, 0, op.probeWidthLocked()))
-	membLen := op.memb.probeLen()
-	flat, err := tryReadPolicy(op.m, tok, op.retry, addrs)
-	membSat, ok := op.memb.lookupInBlocks(x, flat[:membLen])
-	if !ok {
-		if err != nil {
-			return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
-		}
-		return nil, false, nil
-	}
-	level := int(membSat[0] >> 8)
-	if level >= len(op.levels) {
-		return nil, false, nil
-	}
-	blocks := flat[membLen+level*op.d : membLen+(level+1)*op.d]
-	for _, blk := range blocks {
-		if blk == nil {
-			return nil, false, fmt.Errorf("core: degraded lookup for key %d: level %d fields unavailable: %w", x, level, err)
-		}
-	}
-	head := int(membSat[0] & 0xFF)
-	sat, found := decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(level, x, blocks), head)
-	return sat, found, nil
+	var a [1]answer
+	err := op.read(batchToken(tok), &readReq{keys: []pdm.Word{x}, try: true, out: a[:]})
+	return a[0].sat, a[0].ok, err
 }

@@ -581,10 +581,9 @@ func (b *Basic) LookupTryCtx(c OpCtx, key Word) ([]Word, bool, error) {
 // de-duplicated read round through the checked path, governed by the
 // retry policy. A non-nil error means at least one key was inconclusive
 // (its ok entry is then false) — never that a key is wrongly absent.
-//
-//lint:pdm-allow opctx: fault-aware Try path stays on the legacy span path
+// Like LookupTry it stays unattributed (a nil token).
 func (b *Basic) LookupTryBatch(keys []Word) ([][]Word, []bool, error) {
-	return b.d.LookupTryBatch(keys)
+	return b.d.LookupTryBatchOp(nil, keys)
 }
 
 // LookupTryBatchCtx is LookupTryBatch attributed to the operation token
@@ -594,7 +593,10 @@ func (b *Basic) LookupTryBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool, error
 }
 
 // ContainsTry is the fault-aware Contains; see LookupTry.
-func (b *Basic) ContainsTry(key Word) (bool, error) { return b.d.ContainsTry(key) }
+func (b *Basic) ContainsTry(key Word) (bool, error) {
+	_, ok, err := b.d.LookupTry(key)
+	return ok, err
+}
 
 // SetRetryPolicy installs the transient-error recovery policy used by
 // LookupTry, LookupTryBatch, Repair, and Scrub. The zero value (and
